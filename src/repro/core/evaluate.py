@@ -5,9 +5,9 @@ This is the function the cogrouped sweep harness runs for each
 
 * the *full-join* MI (Section V-C's proxy for the unknown true MI) is
   computed on the materialized aggregate-then-left-join result;
-* each sketch method builds its (S_train, S_cand) pair at capacity n,
-  joins the sketches, and feeds the recovered sample to the same
-  estimator;
+* each table side is prepared (hashed, featurized) once, every sketch
+  method selects its (S_train, S_cand) pair at capacity n from it, joins
+  the sketches, and feeds the recovered sample to the same estimator;
 * estimates on fewer than ``min_sample`` joined rows are reported as
   NaN (the paper discards sketch joins of size <= 100 in Table II).
 
@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.mi import estimate_mi
-from repro.sketch import build_pair, join_sketches
+from repro.mi import MIN_SAMPLE, estimate_mi
+from repro.sketch import Side, join_sketches, select_pair
 from repro.sketch.base import aggregate_cand
 
 _JITTER_SIGMA = 1e-3
@@ -70,55 +70,44 @@ def evaluate_pair(
     estimators: tuple[tuple[str, str], ...],
     agg: str = "avg",
     compute_full: bool = True,
-    min_sample: int = 4,
+    min_sample: int = MIN_SAMPLE,
 ) -> pd.DataFrame:
     """Evaluate one pair; returns rows per (method, estimator) plus a
     ``method='full'`` row per estimator when ``compute_full``."""
     rng = np.random.default_rng(1_000_003 * (pair_id + 1))
     rows: list[dict] = []
-    full_cache: dict[tuple[str, str], float] = {}
+    full_mi: dict[tuple[str, str], float] = {}
     full_size = 0
+
+    def add_row(method: str, est: str, jitter: str, join_size: int, mi_sketch: float) -> None:
+        rows.append(
+            {
+                "pair_id": pair_id,
+                "method": method,
+                "estimator": f"{est}|{jitter}" if jitter != "none" else est,
+                "join_size": join_size,
+                "mi_sketch": mi_sketch,
+                "mi_full": full_mi.get((est, jitter), np.nan),
+                "full_join_size": full_size,
+            }
+        )
+
     if compute_full:
         fy, fx = full_join_pairs_pandas(train, cand, agg)
         full_size = len(fy)
         for est, jitter in estimators:
             px, py = _prepare(fx, fy, est, jitter, rng)
-            full_cache[(est, jitter)] = (
-                estimate_mi(px, py, est) if full_size >= min_sample else np.nan
-            )
-            rows.append(
-                {
-                    "pair_id": pair_id,
-                    "method": "full",
-                    "estimator": f"{est}|{jitter}" if jitter != "none" else est,
-                    "join_size": full_size,
-                    "mi_sketch": np.nan,
-                    "mi_full": full_cache[(est, jitter)],
-                    "full_join_size": full_size,
-                }
-            )
-    tk = train["key"].to_numpy()
-    tv = train["y"].to_numpy()
-    ck = cand["key"].to_numpy()
-    cv = cand["x"].to_numpy()
+            full_mi[(est, jitter)] = estimate_mi(px, py, est) if full_size >= min_sample else np.nan
+            add_row("full", est, jitter, full_size, np.nan)
+    train_side = Side(train["key"].to_numpy(), train["y"].to_numpy())
+    cand_side = Side(cand["key"].to_numpy(), cand["x"].to_numpy())
     for method in methods:
-        s_train, s_cand = build_pair(method, tk, tv, ck, cv, n, agg=agg)
+        s_train, s_cand = select_pair(method, train_side, cand_side, n, agg)
         yv, xv = join_sketches(s_train, s_cand)
         for est, jitter in estimators:
+            mi_sketch = np.nan
             if len(yv) >= min_sample:
                 px, py = _prepare(xv, yv, est, jitter, rng)
                 mi_sketch = estimate_mi(px, py, est)
-            else:
-                mi_sketch = np.nan
-            rows.append(
-                {
-                    "pair_id": pair_id,
-                    "method": method,
-                    "estimator": f"{est}|{jitter}" if jitter != "none" else est,
-                    "join_size": len(yv),
-                    "mi_sketch": mi_sketch,
-                    "mi_full": full_cache.get((est, jitter), np.nan),
-                    "full_join_size": full_size,
-                }
-            )
+            add_row(method, est, jitter, len(yv), mi_sketch)
     return pd.DataFrame(rows)

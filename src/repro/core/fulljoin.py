@@ -29,7 +29,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.mi import estimate_mi
+from repro.mi import MIN_SAMPLE, estimate_mi
 from repro.sketch.base import AGG_FUNCTIONS
 
 
@@ -104,9 +104,12 @@ def full_join_mi(
     agg: str = "avg",
     **kw,
 ) -> tuple[float, int]:
-    """MI estimated on the fully materialized join; returns (mi, join_size)."""
+    """MI estimated on the fully materialized join; returns (mi, join_size).
+
+    The estimate is NaN on fewer than ``MIN_SAMPLE`` joined rows.
+    """
     pairs = full_join_pairs(train_df, cand_df, agg=agg, **kw)
-    if len(pairs) == 0:
-        return 0.0, 0
+    if len(pairs) < MIN_SAMPLE:
+        return np.nan, len(pairs)
     mi = estimate_mi(pairs["x"].to_numpy(), pairs["y"].to_numpy(), estimator)
     return mi, len(pairs)

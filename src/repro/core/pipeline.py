@@ -26,7 +26,7 @@ from pyspark.sql.functions import pandas_udf
 
 from repro import hashing
 from repro.hashing.murmur3 import murmur3_32_u32pair
-from repro.mi import estimate_mi
+from repro.mi import MIN_SAMPLE, estimate_mi
 from repro.sketch import METHODS, Sketch, join_sketches
 from repro.sketch.indsk import _SALT_CAND, _SALT_TRAIN
 
@@ -218,7 +218,8 @@ def sketch_mi_estimate(
     rid_col: str = "rid",
 ) -> dict:
     """End-to-end sketch path: build both sketches distributed, join the
-    collected sketches, estimate MI. Returns estimate + join size."""
+    collected sketches, estimate MI. Returns estimate + join size; the
+    estimate is NaN on fewer than ``MIN_SAMPLE`` joined rows."""
     s_train = spark_train_sketch(
         train_df, n=n, method=method, key_col=key_col, val_col=y_col, rid_col=rid_col
     )
@@ -226,7 +227,7 @@ def sketch_mi_estimate(
         cand_df, n=n, method=method, agg=agg, key_col=key_col, val_col=x_col, rid_col=rid_col
     )
     y, x = join_sketches(s_train, s_cand)
-    mi = estimate_mi(x, y, estimator) if len(y) > 3 else 0.0
+    mi = estimate_mi(x, y, estimator) if len(y) >= MIN_SAMPLE else np.nan
     return {
         "mi": mi,
         "join_size": len(y),

@@ -30,6 +30,18 @@ METHODS = ("csk", "indsk", "lv2sk", "prisk", "tupsk")
 N_PAIRS = 120
 
 
+def route(train: pd.DataFrame, cand: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame, str, str]:
+    """Type inference (Tablesaw stand-in) casts both value columns, which
+    route the estimator and the AGG; returns (train, cand, estimator, agg)."""
+    train = train.assign(y=cast_column(train["y"]))
+    cand = cand.assign(x=cast_column(cand["x"]))
+    x_num = np.asarray(cand["x"].to_numpy()).dtype.kind in "fiu"
+    y_num = np.asarray(train["y"].to_numpy()).dtype.kind in "fiu"
+    # Paper Section III-B: the featurization must fit the data type
+    # — AVG for ordered-continuous, MODE for unordered-discrete.
+    return train, cand, choose_estimator_name(x_num, y_num), ("avg" if x_num else "mode")
+
+
 def run(
     spark: SparkSession,
     collection: str,
@@ -43,15 +55,7 @@ def run(
     train_tall, cand_tall = tall_frames(pairs)
 
     def _eval(pair_id: int, train: pd.DataFrame, cand: pd.DataFrame) -> pd.DataFrame:
-        # Type inference routes the estimator (Tablesaw stand-in).
-        train = train.assign(y=cast_column(train["y"]))
-        cand = cand.assign(x=cast_column(cand["x"]))
-        x_num = np.asarray(cand["x"].to_numpy()).dtype.kind in "fiu"
-        y_num = np.asarray(train["y"].to_numpy()).dtype.kind in "fiu"
-        est = choose_estimator_name(x_num, y_num)
-        # Paper Section III-B: the featurization must fit the data type
-        # — AVG for ordered-continuous, MODE for unordered-discrete.
-        agg = "avg" if x_num else "mode"
+        train, cand, est, agg = route(train, cand)
         return evaluate_pair(
             pair_id, train, cand, n=n, methods=METHODS,
             estimators=((est, "none"),), agg=agg, compute_full=True,

@@ -21,6 +21,10 @@ ESTIMATORS: dict[str, Callable] = {
     "dc_ksg": mi_dc_ksg,
 }
 
+#: Fewest paired points an MI estimate is made from; callers report
+#: NaN below it.
+MIN_SAMPLE = 4
+
 
 def choose_estimator_name(x_is_numeric: bool, y_is_numeric: bool) -> str:
     """Paper's routing rule, on inferred column types."""

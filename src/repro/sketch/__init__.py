@@ -1,34 +1,54 @@
 """Sampling-based MI sketches (paper Section IV and the §V baselines).
 
-``METHODS`` maps a sketch name to its (train_sketch, cand_sketch)
-builder pair; all builders share the signature
-``train_sketch(keys, values, n)`` and
+Each method module is a selection rule, ``select_train(side, n)`` and
+``select_cand(side, n, agg)``, over a table side prepared once
+(:class:`Side`), so one pair of sides serves every method
+(:func:`select_pair`). ``METHODS`` maps a sketch name to its
+(train_sketch, cand_sketch) entry points, which prepare a side from raw
+arrays and then select: ``train_sketch(keys, values, n)`` and
 ``cand_sketch(keys, values, n, agg)``.
 """
 from . import csk, indsk, lv2sk, prisk, tupsk
-from .base import AGG_FUNCTIONS, Sketch, aggregate_cand, join_sketches, occurrence_index
+from .base import AGG_FUNCTIONS, Side, Sketch, aggregate_cand, join_sketches, occurrence_index
 
-METHODS = {
-    "tupsk": (tupsk.train_sketch, tupsk.cand_sketch),
-    "lv2sk": (lv2sk.train_sketch, lv2sk.cand_sketch),
-    "prisk": (prisk.train_sketch, prisk.cand_sketch),
-    "indsk": (indsk.train_sketch, indsk.cand_sketch),
-    "csk": (csk.train_sketch, csk.cand_sketch),
-}
+_RULES = {"tupsk": tupsk, "lv2sk": lv2sk, "prisk": prisk, "indsk": indsk, "csk": csk}
+
+
+def _entry_points(rules):
+    def train_sketch(keys, values, n: int) -> Sketch:
+        return rules.select_train(Side(keys, values), n)
+
+    def cand_sketch(keys, values, n: int, agg: str = "avg") -> Sketch:
+        return rules.select_cand(Side(keys, values), n, agg)
+
+    return train_sketch, cand_sketch
+
+
+METHODS = {name: _entry_points(rules) for name, rules in _RULES.items()}
 
 __all__ = [
     "AGG_FUNCTIONS",
+    "Side",
     "Sketch",
     "aggregate_cand",
     "join_sketches",
     "occurrence_index",
     "METHODS",
+    "select_pair",
     "csk",
     "indsk",
     "lv2sk",
     "prisk",
     "tupsk",
 ]
+
+
+def select_pair(
+    method: str, train: Side, cand: Side, n: int, agg: str = "avg"
+) -> tuple[Sketch, Sketch]:
+    """Select one method's (S_train, S_cand) pair from prepared sides."""
+    rules = _RULES[method]
+    return rules.select_train(train, n), rules.select_cand(cand, n, agg)
 
 
 def build_pair(

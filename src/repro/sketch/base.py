@@ -15,6 +15,7 @@ with first-appearance tie-breaking so results are order-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -45,6 +46,56 @@ class Sketch:
         return len(self.key_hash)
 
 
+class Side:
+    """One table side, prepared once for every sketch method.
+
+    Each row is hashed once; ``kh``, ``j`` and ``codes`` are computed on
+    first use only. :meth:`featurized` gives the side reduced by AGG to
+    one row per distinct key (so ``j = 1``), built once per AGG.
+    """
+
+    def __init__(self, keys, values) -> None:
+        self.keys = np.asarray(keys)
+        self.values = np.asarray(values)
+        self._featurized: dict[str, Side] = {}
+
+    @cached_property
+    def kh(self) -> np.ndarray:
+        """``h(k)`` of every row."""
+        return hashing.hash_keys(self.keys)
+
+    @cached_property
+    def j(self) -> np.ndarray:
+        """Occurrence index of every row (all 1 on a featurized side)."""
+        return occurrence_index(self.keys)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Dense key codes, numbered in first-appearance order."""
+        return pd.factorize(self.keys, use_na_sentinel=False)[0]
+
+    def featurized(self, agg: str) -> Side:
+        """This side with AGG applied per key (:func:`aggregate_cand`)."""
+        if agg not in self._featurized:
+            aug = aggregate_cand(self.keys, self.values, agg)
+            side = Side(aug["key"].to_numpy(), aug["value"].to_numpy())
+            side.j = np.ones(len(side.keys), dtype=np.int64)  # one row per key
+            self._featurized[agg] = side
+        return self._featurized[agg]
+
+    def take(self, rows: np.ndarray) -> Sketch:
+        return Sketch(self.kh[rows], self.values[rows])
+
+    def bottom(self, u: np.ndarray, n: int) -> Sketch:
+        """The n rows with the smallest sampling coordinate ``u``."""
+        return self.take(np.argsort(u, kind="stable")[:n])
+
+
+def kmv(side: Side, n: int) -> Sketch:
+    """KMV: the n rows of a featurized side with the smallest ``h_u(h(k))``."""
+    return side.bottom(hashing.u01(side.kh), n)
+
+
 def occurrence_index(keys: np.ndarray) -> np.ndarray:
     """1-based occurrence index j of each key value, in row order.
 
@@ -72,16 +123,15 @@ def aggregate_cand(keys: np.ndarray, values: np.ndarray, agg: str) -> pd.DataFra
     elif agg == "mode":
         # Most frequent value; ties broken by earliest first appearance
         # (same contract as the Spark implementation in
-        # repro.core.fulljoin.featurize).
-        def _mode_first_seen(s: pd.Series):
-            counts = s.value_counts()
-            best = counts.max()
-            top = set(counts[counts == best].index)
-            for v in s:
-                if v in top:
-                    return v
-
-        out = g.agg(_mode_first_seen)
+        # repro.core.fulljoin.featurize): idxmax keeps the first of the
+        # (key, value) groups, which come in first-appearance order. A
+        # key with only NULL values gets None; the dtype is inferred
+        # from the results, as a per-group python ``g.agg`` would.
+        size = df.groupby(["key", "value"], sort=False).size()
+        top = dict(size.groupby(level="key", sort=False).idxmax().tolist())
+        index = g.size().index
+        dtype = None if len(index) else df["value"].dtype
+        out = pd.Series([top.get(k) for k in index], index=index, dtype=dtype)
     else:  # first
         out = g.first()
     return pd.DataFrame({"key": out.index.to_numpy(), "value": out.to_numpy()})

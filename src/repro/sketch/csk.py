@@ -9,25 +9,15 @@ information on either table is simply dropped.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from repro import hashing
-
-from .base import Sketch, aggregate_cand
+from .base import Side, Sketch, kmv
+from .base import aggregate_cand  # noqa: F401  (perfbench patches it here)
 
 
-def _first_value_kmv(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    firsts = aggregate_cand(keys, values, "first")
-    kh = hashing.hash_keys(firsts["key"].to_numpy())
-    u = hashing.u01(kh)
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], firsts["value"].to_numpy()[idx])
+def select_train(side: Side, n: int) -> Sketch:
+    """First value seen per key, then KMV over the distinct keys."""
+    return kmv(side.featurized("first"), n)
 
 
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    return _first_value_kmv(np.asarray(keys), np.asarray(values), n)
-
-
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
+def select_cand(side: Side, n: int, agg: str = "avg") -> Sketch:
     """CSK ignores AGG by design: first value seen per key."""
-    return _first_value_kmv(np.asarray(keys), np.asarray(values), n)
+    return select_train(side, n)

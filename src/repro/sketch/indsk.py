@@ -20,27 +20,23 @@ import numpy as np
 from repro import hashing
 from repro.hashing.murmur3 import murmur3_32_u32pair
 
-from .base import Sketch, aggregate_cand
+from .base import Side, Sketch
+from .base import aggregate_cand  # noqa: F401  (perfbench patches it here)
 
 _SALT_TRAIN = 0xA5A5A5A5
 _SALT_CAND = 0x5A5A5A5A
 
 
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
+def _salted_u01(x: np.ndarray, salt: int) -> np.ndarray:
+    return hashing.u01(murmur3_32_u32pair(x, np.full(len(x), salt, np.uint32)))
+
+
+def select_train(side: Side, n: int) -> Sketch:
     """Uniform n-subset of rows, independent of keys and of the cand side."""
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    kh = hashing.hash_keys(keys)
-    rid = np.arange(len(keys), dtype=np.uint32)
-    u = hashing.u01(murmur3_32_u32pair(rid, np.full(len(keys), _SALT_TRAIN, np.uint32)))
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], values[idx])
+    return side.bottom(_salted_u01(np.arange(len(side.keys), dtype=np.uint32), _SALT_TRAIN), n)
 
 
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
+def select_cand(side: Side, n: int, agg: str = "avg") -> Sketch:
     """Aggregate per key, then a uniform n-subset of keys (own salt)."""
-    aggdf = aggregate_cand(keys, values, agg)
-    kh = hashing.hash_keys(aggdf["key"].to_numpy())
-    u = hashing.u01(murmur3_32_u32pair(kh, np.full(len(kh), _SALT_CAND, np.uint32)))
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], aggdf["value"].to_numpy()[idx])
+    aug = side.featurized(agg)
+    return aug.bottom(_salted_u01(aug.kh, _SALT_CAND), n)

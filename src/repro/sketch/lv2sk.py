@@ -17,55 +17,34 @@ import pandas as pd
 
 from repro import hashing
 
-from .base import Sketch, aggregate_cand, occurrence_index
+from .base import Side, Sketch, kmv
+from .base import aggregate_cand, occurrence_index  # noqa: F401  (perfbench patches them here)
 
 
-def _level2(
-    codes: np.ndarray,
-    selected_codes: np.ndarray,
-    counts: np.ndarray,
-    kh: np.ndarray,
-    values: np.ndarray,
-    u_row: np.ndarray,
-    n: int,
-    n_total: int,
-) -> Sketch:
-    """Cap rows per selected key at n_k, ranked by the per-row hash."""
-    sel_mask = np.isin(codes, selected_codes)
+def two_level(side: Side, n: int, key_order) -> Sketch:
+    """Level 1 keeps the first n distinct keys of
+    ``key_order(N_k, h_u(h(k)))``; level 2 keeps, of each kept key, the
+    n_k rows with the smallest ``h_u(h(<k, j>))``."""
+    codes = side.codes
+    counts = np.bincount(codes)
+    first_rows = np.zeros(len(counts), dtype=np.int64)
+    first_rows[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
+    selected = key_order(counts, hashing.u01(side.kh[first_rows]))[:n]
+    sel_mask = np.isin(codes, selected)
+    u_row = hashing.tuple_u01(side.kh, side.j)
     df = pd.DataFrame(
-        {
-            "code": codes[sel_mask],
-            "u_row": u_row[sel_mask],
-            "row": np.nonzero(sel_mask)[0],
-        }
+        {"code": codes[sel_mask], "u_row": u_row[sel_mask], "row": np.nonzero(sel_mask)[0]}
     )
-    n_k = np.maximum(1, (n * counts / n_total).astype(np.int64))
+    n_k = np.maximum(1, (n * counts / len(codes)).astype(np.int64))
     rank = df.groupby("code")["u_row"].rank(method="first").to_numpy()
     keep = rank <= n_k[df["code"].to_numpy()]
-    rows = df["row"].to_numpy()[keep]
-    return Sketch(kh[rows], values[rows])
+    return side.take(df["row"].to_numpy()[keep])
 
 
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    kh = hashing.hash_keys(keys)
-    j = occurrence_index(keys)
-    u_row = hashing.tuple_u01(kh, j)
-    codes, uniques = pd.factorize(keys, use_na_sentinel=False)
-    counts = np.bincount(codes)
-    # Per-distinct-key sampling coordinate h_u(h(k)).
-    first_rows = np.zeros(len(uniques), dtype=np.int64)
-    first_rows[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
-    u_key = hashing.u01(kh[first_rows])
-    selected = np.argsort(u_key, kind="stable")[:n]
-    return _level2(codes, selected, counts, kh, values, u_row, n, len(keys))
+def select_train(side: Side, n: int) -> Sketch:
+    return two_level(side, n, lambda counts, u_key: np.argsort(u_key, kind="stable"))
 
 
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
+def select_cand(side: Side, n: int, agg: str = "avg") -> Sketch:
     """Aggregate per key, then KMV over the (now unique) keys."""
-    aggdf = aggregate_cand(keys, values, agg)
-    kh = hashing.hash_keys(aggdf["key"].to_numpy())
-    u = hashing.u01(kh)
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], aggdf["value"].to_numpy()[idx])
+    return kmv(side.featurized(agg), n)

@@ -10,34 +10,19 @@ reports PRISK results to be nearly identical to LV2SK.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
-from repro import hashing
-
-from .base import Sketch, aggregate_cand, occurrence_index
-from .lv2sk import _level2
-from .lv2sk import cand_sketch as _lv2_cand_sketch
+from .base import Side, Sketch
+from .base import aggregate_cand, occurrence_index  # noqa: F401  (perfbench patches them here)
+from .lv2sk import select_cand, two_level  # noqa: F401  (cand side: all weights 1, as LV2SK)
 
 
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    kh = hashing.hash_keys(keys)
-    j = occurrence_index(keys)
-    u_row = hashing.tuple_u01(kh, j)
-    codes, uniques = pd.factorize(keys, use_na_sentinel=False)
-    counts = np.bincount(codes)
-    first_rows = np.zeros(len(uniques), dtype=np.int64)
-    first_rows[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
-    u_key = hashing.u01(kh[first_rows])
+def _by_priority(counts: np.ndarray, u_key: np.ndarray) -> np.ndarray:
     # Priority = weight / u; avoid division by zero on the (measure
     # zero, but reachable) u == 0 hash by flooring at the smallest
     # positive float.
     priority = counts / np.maximum(u_key, np.finfo(np.float64).tiny)
-    selected = np.argsort(-priority, kind="stable")[:n]
-    return _level2(codes, selected, counts, kh, values, u_row, n, len(keys))
+    return np.argsort(-priority, kind="stable")
 
 
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-    """Aggregated keys all have weight 1 -> same selection as LV2SK."""
-    return _lv2_cand_sketch(keys, values, n, agg)
+def select_train(side: Side, n: int) -> Sketch:
+    return two_level(side, n, _by_priority)

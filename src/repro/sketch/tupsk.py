@@ -8,28 +8,17 @@ samples by ``h_u(h(<k, 1>))``, coordinating with the j = 1 train rows.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro import hashing
 
-from .base import Sketch, aggregate_cand, occurrence_index
+from .base import Side, Sketch
+from .base import aggregate_cand, occurrence_index  # noqa: F401  (perfbench patches them here)
 
 
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
+def select_train(side: Side, n: int) -> Sketch:
     """Keep the n rows with the smallest ``h_u(h(<k, j>))``."""
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    kh = hashing.hash_keys(keys)
-    j = occurrence_index(keys)
-    u = hashing.tuple_u01(kh, j)
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], values[idx])
+    return side.bottom(hashing.tuple_u01(side.kh, side.j), n)
 
 
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-    """Aggregate per key, then keep the n keys minimizing ``h_u(h(<k, 1>))``."""
-    aggdf = aggregate_cand(keys, values, agg)
-    kh = hashing.hash_keys(aggdf["key"].to_numpy())
-    u = hashing.tuple_u01(kh, np.ones(len(kh), dtype=np.uint32))
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], aggdf["value"].to_numpy()[idx])
+def select_cand(side: Side, n: int, agg: str = "avg") -> Sketch:
+    """Aggregate per key (so j = 1), then the train side's rule."""
+    return select_train(side.featurized(agg), n)

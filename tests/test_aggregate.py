@@ -72,3 +72,47 @@ def test_unknown_agg_raises():
 
 def test_all_aggs_listed():
     assert set(AGG_FUNCTIONS) == {"avg", "count", "mode", "first"}
+
+
+def _mode_reference(keys: np.ndarray, values: np.ndarray) -> pd.DataFrame:
+    """MODE as a per-group Python function: most frequent value, ties
+    broken by first appearance, None for a key with only NULL values."""
+    df = pd.DataFrame({"key": keys, "value": values})
+
+    def _mode_first_seen(s: pd.Series):
+        counts = s.value_counts()
+        top = set(counts[counts == counts.max()].index)
+        for v in s:
+            if v in top:
+                return v
+
+    out = df.groupby("key", sort=False)["value"].agg(_mode_first_seen)
+    return pd.DataFrame({"key": out.index.to_numpy(), "value": out.to_numpy()})
+
+
+def _random_table(rng, case: int):
+    n = int(rng.integers(0, 30))
+    raw = rng.integers(0, int(rng.integers(1, 6)), n)
+    keys = raw if case % 2 else np.array([f"k{v}" for v in raw], object)
+    vals = rng.integers(0, 3, n).astype(float)  # few distinct values: many ties
+    nulls = rng.random(n) < 0.3
+    if case % 4 == 1:
+        vals[nulls] = np.nan
+    elif case % 4 >= 2:
+        vals = np.array([f"v{v:.0f}" for v in vals], object)
+        vals[nulls] = None if case % 4 == 2 else np.nan
+    return keys, vals
+
+
+def test_mode_matches_reference_on_random_tables():
+    rng = np.random.default_rng(0)
+    for case in range(200):
+        keys, vals = _random_table(rng, case)
+        got, want = aggregate_cand(keys, vals, "mode"), _mode_reference(keys, vals)
+        for col in ("key", "value"):
+            g, w = got[col].to_numpy(), want[col].to_numpy()
+            assert g.dtype == w.dtype, (case, col)
+            # Strict: None and NaN are different results here.
+            assert [(type(a), a if a == a else "nan") for a in g.tolist()] == [
+                (type(b), b if b == b else "nan") for b in w.tolist()
+            ], (case, col)

@@ -3,7 +3,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro import hashing
 from repro.core.evaluate import _prepare, evaluate_pair, full_join_pairs_pandas
+from repro.sketch import METHODS, build_pair
+from repro.sketch import base as sketch_base
 from repro.synthgen import cdunif, decompose, trinomial
 
 
@@ -98,3 +101,48 @@ def test_sketch_estimates_close_to_full_on_easy_pair():
     )
     sk = res[res["method"] == "tupsk"].iloc[0]
     assert sk["mi_sketch"] == pytest.approx(sk["mi_full"], abs=0.35)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_evaluate_pair_prepares_each_side_once(monkeypatch, pair):
+    """All five methods select from one hashed train side, one FIRST-
+    featurized train side and the AGG- and FIRST-featurized cand sides."""
+    hashes = _count_calls(monkeypatch, hashing, "hash_keys")
+    aggs = _count_calls(monkeypatch, sketch_base, "aggregate_cand")
+    occurrences = _count_calls(monkeypatch, sketch_base, "occurrence_index")
+    evaluate_pair(
+        0, pair.train, pair.cand, n=64, methods=tuple(METHODS),
+        estimators=(("mixed_ksg", "none"),), compute_full=False,
+    )
+    assert len(hashes) <= 4
+    assert sorted(a[2] for a in aggs) == ["avg", "first", "first"]
+    assert len(occurrences) == 1
+
+
+class _MustNotCompute:
+    """Stands in for a lazy ``Side`` field; a value set on an instance
+    (the featurized side's j = 1) still shadows it."""
+
+    def __get__(self, side, owner=None):
+        raise AssertionError("computed a lazy Side field")
+
+
+def test_indsk_needs_no_occurrence_index_or_codes(monkeypatch, pair):
+    monkeypatch.setattr(sketch_base.Side, "j", _MustNotCompute())
+    monkeypatch.setattr(sketch_base.Side, "codes", _MustNotCompute())
+    s_train, s_cand = build_pair(
+        "indsk", pair.train["key"].to_numpy(), pair.train["y"].to_numpy(),
+        pair.cand["key"].to_numpy(), pair.cand["x"].to_numpy(), 64,
+    )
+    assert len(s_train) == 64 and len(s_cand) <= 64

@@ -1,5 +1,6 @@
 """Spark sketch builders must equal the numpy core byte-for-byte."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import pipeline
@@ -76,9 +77,24 @@ def test_end_to_end_estimate_matches_numpy_path(spark, keydep_pair, method):
         128, agg="avg",
     )
     y, x = join_sketches(st, sc)
-    expected_mi = estimate_mi(x.astype(float), y.astype(float), "mixed_ksg") if len(y) > 3 else 0.0
+    expected_mi = np.nan
+    if len(y) >= 4:
+        expected_mi = estimate_mi(x.astype(float), y.astype(float), "mixed_ksg")
     assert res["join_size"] == len(y)
-    assert res["mi"] == pytest.approx(expected_mi, rel=1e-9)
+    assert res["mi"] == pytest.approx(expected_mi, rel=1e-9, nan_ok=True)
+
+
+def test_tiny_joins_give_nan(spark):
+    """Fewer than evaluate_pair's MIN_SAMPLE joined rows: NaN, as in the sweep."""
+    from repro.core import fulljoin
+
+    rid = [0, 1, 2]
+    train = spark.createDataFrame(pd.DataFrame({"rid": rid, "key": [1, 2, 3], "y": [0.5, 1.5, 2.5]}))
+    cand = spark.createDataFrame(pd.DataFrame({"rid": rid, "key": [1, 2, 9], "x": [1.0, 2.0, 3.0]}))
+    res = pipeline.sketch_mi_estimate(train, cand, n=8, method="tupsk", estimator="mixed_ksg")
+    assert res["join_size"] == 2 and np.isnan(res["mi"])
+    mi, size = fulljoin.full_join_mi(train, cand, estimator="mixed_ksg")
+    assert size == 2 and np.isnan(mi)
 
 
 def test_unknown_method_raises(spark, keydep_pair):

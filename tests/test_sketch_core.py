@@ -6,7 +6,7 @@ import pytest
 from repro import hashing
 from repro.sketch import METHODS, build_pair, join_sketches, occurrence_index
 from repro.sketch import csk, indsk, lv2sk, prisk, tupsk
-from repro.sketch.base import Sketch
+from repro.sketch.base import Side, Sketch
 
 
 def _skewed_table(n=5000, n_keys=200, seed=0):
@@ -63,7 +63,7 @@ def test_cand_sketch_unique_hashes(method, agg):
 def test_lv2sk_size_at_least_n_when_many_keys():
     """Paper: sum n_k >= n whenever the number of distinct keys >= n."""
     keys, values = _skewed_table(n=10_000, n_keys=2_000, seed=1)
-    s = lv2sk.train_sketch(keys, values, 256)
+    s = lv2sk.select_train(Side(keys, values), 256)
     assert len(s) >= 256
 
 
@@ -71,7 +71,7 @@ def test_lv2sk_frequency_proportional_caps():
     """For selected keys, sketch frequency tracks max(1, floor(n N_k/N))."""
     keys, values = _skewed_table(n=4000, n_keys=50, seed=2)
     n = 64
-    s = lv2sk.train_sketch(keys, values, n)
+    s = lv2sk.select_train(Side(keys, values), n)
     kh = hashing.hash_keys(keys)
     freq_table = pd.Series(kh).value_counts()
     freq_sketch = pd.Series(s.key_hash).value_counts()
@@ -101,7 +101,7 @@ def test_tupsk_uniform_row_inclusion():
     keys = np.where(rng.random(n_rows) < 0.5, "HEAVY", rng.integers(0, 5_000, n_rows).astype(str))
     keys = keys.astype(object)
     values = rng.normal(size=n_rows)
-    s = tupsk.train_sketch(keys, values, n)
+    s = tupsk.select_train(Side(keys, values), n)
     heavy_hash = hashing.hash_keys(np.array(["HEAVY"], object))[0]
     frac = (s.key_hash == heavy_hash).mean()
     true_frac = (keys == "HEAVY").mean()
@@ -114,7 +114,7 @@ def test_lv2sk_underrepresents_heavy_key_under_small_m():
     # K = [a b c d e f f f ... f], Y = [0 0 0 0 0 1 2 ... 95]
     keys = np.array(list("abcde") + ["f"] * 95, object)
     values = np.concatenate([np.zeros(5), np.arange(1.0, 96.0)])
-    s = lv2sk.train_sketch(keys, values, 5)
+    s = lv2sk.select_train(Side(keys, values), 5)
     # level 1 picks 5 of the 6 keys; the heavy key f receives at most
     # floor(5*95/100) = 4 samples even if selected, so the sketch can
     # never represent f's 95% mass.
@@ -122,7 +122,7 @@ def test_lv2sk_underrepresents_heavy_key_under_small_m():
     assert (s.key_hash == heavy_hash).sum() <= 4
     # TUPSK at the same budget samples rows uniformly: virtually all
     # picks land on f.
-    s2 = tupsk.train_sketch(keys, values, 5)
+    s2 = tupsk.select_train(Side(keys, values), 5)
     assert (s2.key_hash == heavy_hash).sum() >= 3
 
 
@@ -132,9 +132,9 @@ def test_tupsk_j1_coordination_guarantee():
     paper Section IV-B)."""
     keys, values = _skewed_table(n=3000, n_keys=800, seed=6)
     n = 128
-    s_train = tupsk.train_sketch(keys, values, n)
+    s_train = tupsk.select_train(Side(keys, values), n)
     cand_keys = np.unique(keys)  # candidate table sharing the key domain
-    s_cand = tupsk.cand_sketch(cand_keys, np.arange(len(cand_keys), dtype=float), n, "avg")
+    s_cand = tupsk.select_cand(Side(cand_keys, np.arange(len(cand_keys), dtype=float)), n, "avg")
     kh = hashing.hash_keys(keys)
     j = occurrence_index(keys)
     u = hashing.tuple_u01(kh, j)
@@ -170,15 +170,15 @@ def test_indsk_join_quadratically_small_on_unique_keys():
 def test_prisk_equals_lv2sk_on_unique_keys():
     keys = np.arange(2000).astype(str).astype(object)
     vals = np.random.default_rng(9).normal(size=2000)
-    a = lv2sk.train_sketch(keys, vals, 64)
-    b = prisk.train_sketch(keys, vals, 64)
+    a = lv2sk.select_train(Side(keys, vals), 64)
+    b = prisk.select_train(Side(keys, vals), 64)
     assert (a.key_hash == b.key_hash).all()
 
 
 def test_csk_first_value_semantics():
     keys = np.array(["k", "k", "k"], object)
     vals = np.array([10.0, 20.0, 30.0])
-    s = csk.train_sketch(keys, vals, 8)
+    s = csk.select_train(Side(keys, vals), 8)
     assert len(s) == 1 and s.values[0] == 10.0
 
 
