@@ -143,14 +143,22 @@ def join_sketches(train: Sketch, cand: Sketch) -> tuple[np.ndarray, np.ndarray]:
     The candidate sketch has unique hashed keys (aggregation or
     first-value selection guarantees it), so this is a many-to-one
     lookup. Returns the paired sample (y_values, x_values) that feeds
-    the MI estimator.
+    the MI estimator, in train-sketch order.
+
+    Relies on :class:`Sketch`'s canonical order: both ``key_hash``
+    arrays are sorted (stably), so one binary search per train row
+    finds its candidate. 32-bit hash collisions between distinct keys
+    can, very rarely, leave duplicate hashes on the candidate side;
+    ``side="left"`` matches the first of them, which keeps the join
+    many-to-one. String values come back as ``object`` arrays.
     """
-    t = pd.DataFrame({"kh": train.key_hash.astype(np.int64), "y": train.values})
-    c = pd.DataFrame({"kh": cand.key_hash.astype(np.int64), "x": cand.values})
-    if c["kh"].duplicated().any():
-        # 32-bit hash collisions between distinct keys can, very
-        # rarely, leave duplicate hashes on the aggregated side; keep
-        # the first to preserve the many-to-one join contract.
-        c = c.drop_duplicates("kh", keep="first")
-    j = t.merge(c, on="kh", how="inner", sort=True)
-    return j["y"].to_numpy(), j["x"].to_numpy()
+    pos = np.searchsorted(cand.key_hash, train.key_hash, side="left")
+    hit = pos < len(cand.key_hash)
+    hit[hit] = cand.key_hash[pos[hit]] == train.key_hash[hit]
+    return _object_strings(train.values[hit]), _object_strings(cand.values[pos[hit]])
+
+
+def _object_strings(a: np.ndarray) -> np.ndarray:
+    """Fixed-width str/bytes as ``object``, the dtype string columns
+    have everywhere else in the pipeline; other dtypes are kept."""
+    return a.astype(object) if a.dtype.kind in "SU" else a

@@ -1,7 +1,11 @@
 """Tests for the numpy sketch builders (TUPSK, LV2SK, PRISK, INDSK, CSK)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import hashing
 from repro.sketch import METHODS, build_pair, join_sketches, occurrence_index
@@ -193,6 +197,57 @@ def test_join_sketches_matches_bruteforce():
     cand_map = dict(zip(sc.key_hash.tolist(), sc.values.tolist()))
     expected = [(yy, cand_map[h]) for h, yy in zip(st.key_hash.tolist(), st.values.tolist()) if h in cand_map]
     assert sorted(map(tuple, zip(y, x))) == sorted(expected)
+
+
+def _merge_join(train, cand):
+    """Reference: the sketch join as a pandas merge."""
+    t = pd.DataFrame({"kh": train.key_hash.astype(np.int64), "y": train.values})
+    c = pd.DataFrame({"kh": cand.key_hash.astype(np.int64), "x": cand.values})
+    c = c.drop_duplicates("kh", keep="first")
+    j = t.merge(c, on="kh", how="inner", sort=True)
+    return j["y"].to_numpy(), j["x"].to_numpy()
+
+
+def _values(kind, n, rng):
+    if kind == "float":
+        v = rng.normal(size=n)
+        v[rng.random(n) < 0.2] = np.nan
+        return v
+    if kind == "int":
+        return rng.integers(-5, 5, n)
+    if kind == "bool":
+        return rng.random(n) < 0.5
+    if kind == "str":
+        return rng.choice(["a", "bb", "ccc"], n)  # fixed-width <U3
+    pool = np.array([None, "x", 1, 2.5, float("nan"), True], dtype=object)
+    return pool[rng.integers(0, len(pool), n)]
+
+
+def _canon(v):
+    return "<nan>" if isinstance(v, float) and math.isnan(v) else (type(v), v)
+
+
+def _same(a, b):
+    """Equal dtype and values, NaN equal to NaN, 1 not equal to True."""
+    return a.dtype == b.dtype and list(map(_canon, a.tolist())) == list(map(_canon, b.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 60), st.integers(0, 60), st.integers(1, 40),
+    st.sampled_from(["float", "int", "bool", "str", "object"]),
+    st.sampled_from(["float", "int", "bool", "str", "object"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_join_sketches_equals_merge(n_train, n_cand, n_hashes, train_kind, cand_kind, seed):
+    """Duplicate cand hashes, empty sides, and every value dtype a
+    sketch can hold: same values and dtypes as a pandas merge."""
+    rng = np.random.default_rng(seed)
+    hashes = rng.choice(2**32, n_hashes, replace=False).astype(np.uint32)
+    train = Sketch(rng.choice(hashes, n_train), _values(train_kind, n_train, rng))
+    cand = Sketch(rng.choice(hashes, n_cand), _values(cand_kind, n_cand, rng))
+    got, want = join_sketches(train, cand), _merge_join(train, cand)
+    assert _same(got[0], want[0]) and _same(got[1], want[1])
 
 
 def test_sketch_validates_alignment():
