@@ -1,133 +1,45 @@
-"""Distributed sketch construction as Spark DataFrame aggregations.
+"""Distributed sketch construction: the numpy selection rules, run per key bucket.
 
 This is the deployment path the paper describes (Section IV): sketches
-are built *offline* over large tables with one distributed pass —
-hashing via vectorized pandas UDFs, occurrence indices via a
-``row_number`` window partitioned by the join key, per-key caps via
-grouped counts — and only the resulting <= 2n-row sketch is collected.
-Discovery-time work (sketch join + MI estimation) is then driver-local
-and cheap.
+are built *offline* over large tables in one distributed pass, and only
+the <= 2n-row sketch is collected; discovery-time work (sketch join +
+MI estimation) is then driver-local and cheap.
 
-Selection is a pure function of the hash substrate, so these builders
-produce *identical* sketches to the numpy core in ``repro.sketch``;
-the test suite asserts equality method-by-method.
+Each method's selection rule exists once, in ``repro.sketch.<method>``,
+and a builder runs it twice. First per key bucket,
+``pmod(hash(key), parallelism)``, in ``applyInPandas``: a bucket holds
+whole keys and becomes, in ``rid`` order, a :class:`~repro.sketch.Side`
+with ``pos = rid`` and the table's row count. Then once more on the
+union of the kept rows (at most buckets x 2n), collected with their
+fields. A rule is a bottom-n over a score computed from a row's own
+fields, plus LV2SK/PRISK's per-key cap, so on any superset of its
+output it keeps the same rows: the builders return the numpy core's
+sketches byte for byte (the tests assert it per method).
 
-Row identity: builders require a stable row-id column (``rid``) so
-occurrence order (the j in <k, j>) is well-defined on an unordered
-DataFrame. Synthetic generators and the corpus simulator all emit one.
+Row identity: ``rid`` must be the row's position in the table (0..N-1),
+as in the numpy arrays. Every rule breaks ties by it, and INDSK's train
+rule samples it.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+import pyarrow as pa
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.functions import pandas_udf
+from pyspark.sql.pandas.types import from_arrow_type, to_arrow_type
+from pyspark.sql.types import DataType, DoubleType, FloatType, FractionalType, IntegralType, LongType
+from pyspark.sql.types import StructField, StructType
 
 from repro import hashing
-from repro.hashing.murmur3 import murmur3_32_u32pair
 from repro.mi import MIN_SAMPLE, estimate_mi
-from repro.sketch import METHODS, Sketch, join_sketches
-from repro.sketch.indsk import _SALT_CAND, _SALT_TRAIN
-
-from . import fulljoin
-
-_TINY = float(np.finfo(np.float64).tiny)
+from repro.sketch import RULES, Side, Sketch, join_sketches
 
 
-def _make_udfs() -> dict:
-    """Create the pandas UDFs lazily — ``pandas_udf`` parses its DDL
-    return type against the active session, so the decorators cannot
-    run at import time."""
-
-    @pandas_udf("long")
-    def hash_udf(keys: pd.Series) -> pd.Series:
-        """h(k) as int64 (value range fits uint32)."""
-        return pd.Series(hashing.hash_keys(keys.to_numpy()).astype(np.int64))
-
-    @pandas_udf("double")
-    def u01_udf(kh: pd.Series) -> pd.Series:
-        """h_u(h(k)) from the stored integer hash."""
-        return pd.Series(hashing.u01(kh.to_numpy().astype(np.uint32)))
-
-    @pandas_udf("double")
-    def tuple_u01_udf(kh: pd.Series, j: pd.Series) -> pd.Series:
-        """h_u(h(<k, j>)) from the stored hash and occurrence index."""
-        return pd.Series(
-            hashing.tuple_u01(
-                kh.to_numpy().astype(np.uint32), j.to_numpy().astype(np.uint32)
-            )
-        )
-
-    @pandas_udf("double")
-    def salted_u01_udf(x: pd.Series, salt: pd.Series) -> pd.Series:
-        """Uncoordinated per-row hash stream for INDSK."""
-        return pd.Series(
-            hashing.u01(
-                murmur3_32_u32pair(
-                    x.to_numpy().astype(np.uint32), salt.to_numpy().astype(np.uint32)
-                )
-            )
-        )
-
-    return {
-        "hash": hash_udf,
-        "u01": u01_udf,
-        "tuple_u01": tuple_u01_udf,
-        "salted_u01": salted_u01_udf,
-    }
-
-
-_UDF_CACHE: dict | None = None
-
-
-def _udfs() -> dict:
-    global _UDF_CACHE
-    if _UDF_CACHE is None:
-        _UDF_CACHE = _make_udfs()
-    return _UDF_CACHE
-
-
-def _prepped(df: DataFrame, key_col: str, val_col: str, rid_col: str) -> DataFrame:
-    """Attach kh, occurrence index j, and both sampling coordinates."""
-    w = Window.partitionBy(key_col).orderBy(rid_col)
-    return (
-        df.select(
-            F.col(rid_col).alias("rid"),
-            F.col(key_col).alias("key"),
-            F.col(val_col).alias("val"),
-        )
-        .withColumn("kh", _udfs()["hash"](F.col("key")))
-        .withColumn("j", F.row_number().over(w))
-        .withColumn("u_row", _udfs()["tuple_u01"](F.col("kh"), F.col("j")))
-        .withColumn("u_key", _udfs()["u01"](F.col("kh")))
-    )
-
-
-def _collect_sketch(df: DataFrame) -> Sketch:
-    pdf = df.select("kh", "val").toPandas()
-    return Sketch(pdf["kh"].to_numpy().astype(np.uint32), pdf["val"].to_numpy())
-
-
-def _two_level_train(prepped: DataFrame, n: int, n_total: int, by_priority: bool) -> DataFrame:
-    """Shared level-1 (key selection) + level-2 (per-key cap) for
-    LV2SK (KMV keys) and PRISK (priority-sampled keys)."""
-    keys = prepped.groupBy("key").agg(
-        F.count(F.lit(1)).alias("n_k_rows"), F.first("u_key").alias("u_key")
-    )
-    if by_priority:
-        keys = keys.withColumn(
-            "_prio", F.col("n_k_rows") / F.greatest(F.col("u_key"), F.lit(_TINY))
-        )
-        selected = keys.orderBy(F.col("_prio").desc(), F.col("u_key").asc()).limit(n)
-    else:
-        selected = keys.orderBy(F.col("u_key").asc(), F.col("key").asc()).limit(n)
-    cap = F.greatest(F.lit(1), F.floor(F.lit(n) * F.col("n_k_rows") / F.lit(n_total)))
-    selected = selected.withColumn("n_cap", cap).select("key", "n_cap")
-    ranked = prepped.join(selected, on="key").withColumn(
-        "rank", F.row_number().over(Window.partitionBy("key").orderBy("u_row", "rid"))
-    )
-    return ranked.where(F.col("rank") <= F.col("n_cap"))
+def _rules(method: str):
+    if method not in RULES:
+        raise ValueError(f"unknown sketch method {method!r}")
+    return RULES[method]
 
 
 def spark_train_sketch(
@@ -139,27 +51,9 @@ def spark_train_sketch(
     val_col: str = "y",
     rid_col: str = "rid",
 ) -> Sketch:
-    """Build the train-side (left table) sketch with DataFrame ops."""
-    if method not in METHODS:
-        raise ValueError(f"unknown sketch method {method!r}")
-    prepped = _prepped(df, key_col, val_col, rid_col)
-    if method == "tupsk":
-        out = prepped.orderBy("u_row", "rid").limit(n)
-    elif method in ("lv2sk", "prisk"):
-        n_total = df.count()
-        out = _two_level_train(prepped, n, n_total, by_priority=(method == "prisk"))
-    elif method == "indsk":
-        out = (
-            prepped.withColumn(
-                "u_ind", _udfs()["salted_u01"](F.col("rid"), F.lit(_SALT_TRAIN))
-            )
-            .orderBy("u_ind", "rid")
-            .limit(n)
-        )
-    else:  # csk: first value per key, then KMV over distinct keys
-        firsts = prepped.where(F.col("j") == 1)
-        out = firsts.orderBy("u_key", "rid").limit(n)
-    return _collect_sketch(out)
+    """Build the train-side (left table) sketch."""
+    rules = _rules(method)
+    return _select(df, lambda side: rules.select_train(side, n), key_col, val_col, rid_col)
 
 
 def spark_cand_sketch(
@@ -173,35 +67,57 @@ def spark_cand_sketch(
     rid_col: str = "rid",
 ) -> Sketch:
     """Build the candidate-side sketch: featurize, then select n keys."""
-    if method not in METHODS:
-        raise ValueError(f"unknown sketch method {method!r}")
-    if method == "csk":
-        # CSK ignores AGG by design: first value seen per key.
-        aug = fulljoin.featurize(df, key_col=key_col, val_col=val_col, agg="first", rid_col=rid_col)
-    else:
-        aug = fulljoin.featurize(df, key_col=key_col, val_col=val_col, agg=agg, rid_col=rid_col)
-    prepped = aug.select(F.col(key_col).alias("key"), F.col(val_col).alias("val")).withColumn(
-        "kh", _udfs()["hash"](F.col("key"))
+    rules = _rules(method)
+    return _select(df, lambda side: rules.select_cand(side, n, agg), key_col, val_col, rid_col)
+
+
+def _select(df: DataFrame, rule, key_col: str, val_col: str, rid_col: str) -> Sketch:
+    """``rule`` per key bucket, then on the union of the kept rows."""
+    df = df.select(F.col(rid_col).alias("rid"), F.col(key_col).alias("key"), F.col(val_col).alias("val"))
+    key_type, key = df.schema["key"].dataType, F.col("key")
+    if isinstance(key_type, (FloatType, DoubleType)):
+        key = F.nanvl(key, F.lit(None).cast(key_type))  # pandas holds NULL as NaN
+    n_total, ints, ints_or_null = df.agg(F.count(F.lit(1)), *_hashed_as_ints(key, key_type)).first()
+    buckets = F.pmod(F.hash(key), F.lit(df.sparkSession.sparkContext.defaultParallelism))
+
+    def select_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
+        pdf = pdf.sort_values("rid", kind="stable")
+        keys = pdf["key"].to_numpy()
+        if not ints_or_null:
+            keys = keys.astype(object)  # hashed as strings, as in the whole column
+        side = Side(keys, pdf["val"].to_numpy(), n_total=n_total, pos=pdf["rid"].to_numpy(np.int64))
+        if not ints:
+            side.kh = hashing.hash_keys(keys.astype(object))
+        return rule(side).frame()
+
+    schema = StructType(
+        [StructField("key", key_type), StructField("val", _value_type(df.schema["val"].dataType, rule))]
+        + [StructField(f, LongType()) for f in Side.FIELDS]
     )
-    if method == "tupsk":
-        out = (
-            prepped.withColumn("u", _udfs()["tuple_u01"](F.col("kh"), F.lit(1)))
-            .orderBy("u", "key")
-            .limit(n)
-        )
-    elif method == "indsk":
-        out = (
-            prepped.withColumn("u", _udfs()["salted_u01"](F.col("kh"), F.lit(_SALT_CAND)))
-            .orderBy("u", "key")
-            .limit(n)
-        )
-    else:  # lv2sk / prisk / csk: KMV over h_u(h(k))
-        out = (
-            prepped.withColumn("u", _udfs()["u01"](F.col("kh")))
-            .orderBy("u", "key")
-            .limit(n)
-        )
-    return _collect_sketch(out)
+    kept = df.groupBy(buckets).applyInPandas(select_bucket, schema).toPandas()
+    return rule(Side.union(kept, n_total)).sketch()
+
+
+def _hashed_as_ints(key: Column, key_type: DataType) -> tuple[Column, Column]:
+    """Whether ``hash_keys`` encodes the whole key column as integers,
+    and whether it does so once the NULL keys are dropped (as they are
+    from a featurized side). ``encode_values`` decides per array, so a
+    bucket must hash its keys as the whole column would, not as itself."""
+    if isinstance(key_type, IntegralType):
+        return F.bool_and(key.isNotNull()), F.bool_and(F.lit(True))
+    if isinstance(key_type, FractionalType):
+        integral = (key == F.floor(key)) & (F.abs(key) < 2.0**62)  # NULL on NULL
+        return F.bool_and(F.coalesce(integral, F.lit(False))), F.bool_and(integral)
+    return F.bool_and(F.lit(True)), F.bool_and(F.lit(True))  # strings: value by value
+
+
+def _value_type(val_type: DataType, rule) -> DataType:
+    """Spark type of the values ``rule`` keeps: the column's own, or what
+    its AGG makes of it (AVG gives doubles, COUNT longs), read off the
+    rule applied to an empty side."""
+    dtype = np.dtype(to_arrow_type(val_type).to_pandas_dtype())
+    kept = rule(Side(np.empty(0), np.empty(0, dtype))).values.dtype
+    return val_type if kept == dtype else from_arrow_type(pa.from_numpy_dtype(kept))
 
 
 def sketch_mi_estimate(

@@ -2,10 +2,9 @@
 
 A sketch is a bounded set of tuples ``<h(k), value>``. All five
 sketching methods (TUPSK, LV2SK, PRISK, INDSK, CSK) differ only in how
-they *select* rows; selection is a deterministic function of the hash
-substrate, so the numpy core here and the Spark DataFrame layer in
-``repro.core.pipeline`` produce byte-identical sketches — the tests
-assert this.
+they *select* rows from a :class:`Side`; the Spark builders in
+``repro.core.pipeline`` run the same selection rules, so both engines
+produce byte-identical sketches — the tests assert this.
 
 The candidate (right) side of an augmentation join must be reduced to
 one value per key by a featurization function AGG (paper Section
@@ -46,54 +45,131 @@ class Sketch:
         return len(self.key_hash)
 
 
+class _Field(cached_property):
+    """A lazy per-row field of a :class:`Side`: computed on a whole side,
+    sliced from it on a side of kept rows (:meth:`Side.take`)."""
+
+    def __get__(self, side, owner=None):
+        if side is None or side._parent is None:
+            return super().__get__(side, owner)
+        value = side.__dict__[self.attrname] = getattr(side._parent, self.attrname)[side._rows]
+        return value
+
+
 class Side:
     """One table side, prepared once for every sketch method.
 
-    Each row is hashed once; ``kh``, ``j`` and ``codes`` are computed on
-    first use only. :meth:`featurized` gives the side reduced by AGG to
-    one row per distinct key (so ``j = 1``), built once per AGG.
+    A rule scores each row from its own fields: ``kh``, ``j``, its key's
+    row count ``n_k`` and first position ``first``, its position ``pos``
+    and the table's row count ``n_total``. Fields are computed on first
+    use, or passed in: the Spark builders pass ``pos`` and ``n_total``
+    for a bucket of whole keys, and every field for the union of the
+    buckets' kept rows (:meth:`union`). :meth:`featurized` gives the
+    side reduced by AGG to one row per key (so ``j = 1``), once per AGG.
     """
 
-    def __init__(self, keys, values) -> None:
+    #: The per-row fields a rule reads, carried with the rows it keeps.
+    FIELDS = ("pos", "kh", "j", "n_k", "first")
+
+    def __init__(self, keys, values, *, n_total: int | None = None, **fields) -> None:
         self.keys = np.asarray(keys)
         self.values = np.asarray(values)
+        self.n_total = len(self.keys) if n_total is None else n_total
+        self._parent = self._rows = None
         self._featurized: dict[str, Side] = {}
+        self.__dict__.update(fields)
 
-    @cached_property
+    @_Field
+    def pos(self) -> np.ndarray:
+        """Row position, the tie-break of every rule."""
+        return np.arange(len(self.keys), dtype=np.int64)
+
+    @_Field
     def kh(self) -> np.ndarray:
         """``h(k)`` of every row."""
         return hashing.hash_keys(self.keys)
 
-    @cached_property
+    @_Field
     def j(self) -> np.ndarray:
         """Occurrence index of every row (all 1 on a featurized side)."""
         return occurrence_index(self.keys)
 
+    @_Field
+    def n_k(self) -> np.ndarray:
+        codes, _ = self._groups
+        return np.bincount(codes)[codes]
+
+    @_Field
+    def first(self) -> np.ndarray:
+        codes, first_row = self._groups
+        return self.pos[first_row[codes]]
+
+    @_Field
+    def u_row(self) -> np.ndarray:
+        """``h_u(h(<k, j>))``, the per-row sampling coordinate."""
+        return hashing.tuple_u01(self.kh, self.j)
+
+    @_Field
+    def u_key(self) -> np.ndarray:
+        """``h_u(h(k))``, the per-key sampling coordinate."""
+        return hashing.u01(self.kh)
+
     @cached_property
-    def codes(self) -> np.ndarray:
-        """Dense key codes, numbered in first-appearance order."""
-        return pd.factorize(self.keys, use_na_sentinel=False)[0]
+    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Key codes in first-appearance order, NULL keys last, and each
+        code's first row."""
+        codes, uniques = pd.factorize(self.keys)
+        codes[codes < 0] = len(uniques)
+        first_row = np.zeros(len(uniques) + 1, dtype=np.int64)
+        first_row[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
+        return codes, first_row
 
     def featurized(self, agg: str) -> Side:
-        """This side with AGG applied per key (:func:`aggregate_cand`)."""
+        """This side with AGG applied per key (:func:`aggregate_cand`):
+        one row per key, the key's first row, keys in this side's dtype."""
         if agg not in self._featurized:
             aug = aggregate_cand(self.keys, self.values, agg)
-            side = Side(aug["key"].to_numpy(), aug["value"].to_numpy())
-            side.j = np.ones(len(side.keys), dtype=np.int64)  # one row per key
-            self._featurized[agg] = side
+            first_row = self._groups[1][:-1]  # AGG drops the NULL keys
+            pos, ones = self.pos[first_row], np.ones(len(first_row), dtype=np.int64)
+            self._featurized[agg] = Side(
+                self.keys[first_row], aug["value"].to_numpy(), pos=pos, j=ones, n_k=ones, first=pos
+            )
         return self._featurized[agg]
 
-    def take(self, rows: np.ndarray) -> Sketch:
-        return Sketch(self.kh[rows], self.values[rows])
+    def take(self, rows: np.ndarray) -> Side:
+        """The given rows; their fields are sliced from this side's."""
+        kept = Side(self.keys[rows], self.values[rows], n_total=self.n_total)
+        kept._parent, kept._rows = self, rows
+        return kept
 
-    def bottom(self, u: np.ndarray, n: int) -> Sketch:
+    def bottom(self, u: np.ndarray, n: int) -> Side:
         """The n rows with the smallest sampling coordinate ``u``."""
         return self.take(np.argsort(u, kind="stable")[:n])
 
+    def sketch(self) -> Sketch:
+        return Sketch(self.kh, self.values)
 
-def kmv(side: Side, n: int) -> Sketch:
+    def frame(self) -> pd.DataFrame:
+        """Keys, values and every field, for :meth:`union`."""
+        return pd.DataFrame({"key": self.keys, "val": self.values, **{f: getattr(self, f) for f in self.FIELDS}})
+
+    @classmethod
+    def union(cls, frame: pd.DataFrame, n_total: int) -> Side:
+        """The rows a rule kept from buckets of whole keys of one table
+        (their :meth:`frame`), in row order: the rule keeps from it what
+        it keeps from the whole table. Its rows are featurized already
+        wherever the rule featurizes, so it is its own featurized side."""
+        frame = frame.sort_values("pos", kind="stable")
+        fields = {f: frame[f].to_numpy(np.int64) for f in cls.FIELDS}
+        fields["kh"] = fields["kh"].astype(np.uint32)
+        side = cls(frame["key"], frame["val"], n_total=n_total, **fields)
+        side._featurized = dict.fromkeys(AGG_FUNCTIONS, side)
+        return side
+
+
+def kmv(side: Side, n: int) -> Side:
     """KMV: the n rows of a featurized side with the smallest ``h_u(h(k))``."""
-    return side.bottom(hashing.u01(side.kh), n)
+    return side.bottom(side.u_key, n)
 
 
 def occurrence_index(keys: np.ndarray) -> np.ndarray:

@@ -9,15 +9,15 @@ information on either table is simply dropped.
 """
 from __future__ import annotations
 
-from .base import Side, Sketch, kmv
+from .base import Side, kmv
 from .base import aggregate_cand  # noqa: F401  (perfbench patches it here)
 
 
-def select_train(side: Side, n: int) -> Sketch:
+def select_train(side: Side, n: int) -> Side:
     """First value seen per key, then KMV over the distinct keys."""
     return kmv(side.featurized("first"), n)
 
 
-def select_cand(side: Side, n: int, agg: str = "avg") -> Sketch:
+def select_cand(side: Side, n: int, agg: str = "avg") -> Side:
     """CSK ignores AGG by design: first value seen per key."""
     return select_train(side, n)

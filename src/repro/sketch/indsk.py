@@ -20,7 +20,7 @@ import numpy as np
 from repro import hashing
 from repro.hashing.murmur3 import murmur3_32_u32pair
 
-from .base import Side, Sketch
+from .base import Side
 from .base import aggregate_cand  # noqa: F401  (perfbench patches it here)
 
 _SALT_TRAIN = 0xA5A5A5A5
@@ -31,12 +31,13 @@ def _salted_u01(x: np.ndarray, salt: int) -> np.ndarray:
     return hashing.u01(murmur3_32_u32pair(x, np.full(len(x), salt, np.uint32)))
 
 
-def select_train(side: Side, n: int) -> Sketch:
-    """Uniform n-subset of rows, independent of keys and of the cand side."""
-    return side.bottom(_salted_u01(np.arange(len(side.keys), dtype=np.uint32), _SALT_TRAIN), n)
+def select_train(side: Side, n: int) -> Side:
+    """Uniform n-subset of rows by position, independent of keys and of
+    the cand side."""
+    return side.bottom(_salted_u01(side.pos.astype(np.uint32), _SALT_TRAIN), n)
 
 
-def select_cand(side: Side, n: int, agg: str = "avg") -> Sketch:
+def select_cand(side: Side, n: int, agg: str = "avg") -> Side:
     """Aggregate per key, then a uniform n-subset of keys (own salt)."""
     aug = side.featurized(agg)
     return aug.bottom(_salted_u01(aug.kh, _SALT_CAND), n)

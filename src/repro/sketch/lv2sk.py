@@ -15,36 +15,30 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro import hashing
-
-from .base import Side, Sketch, kmv
+from .base import Side, kmv
 from .base import aggregate_cand, occurrence_index  # noqa: F401  (perfbench patches them here)
 
 
-def two_level(side: Side, n: int, key_order) -> Sketch:
+def two_level(side: Side, n: int, key_order) -> Side:
     """Level 1 keeps the first n distinct keys of
-    ``key_order(N_k, h_u(h(k)))``; level 2 keeps, of each kept key, the
-    n_k rows with the smallest ``h_u(h(<k, j>))``."""
-    codes = side.codes
-    counts = np.bincount(codes)
-    first_rows = np.zeros(len(counts), dtype=np.int64)
-    first_rows[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
-    selected = key_order(counts, hashing.u01(side.kh[first_rows]))[:n]
-    sel_mask = np.isin(codes, selected)
-    u_row = hashing.tuple_u01(side.kh, side.j)
-    df = pd.DataFrame(
-        {"code": codes[sel_mask], "u_row": u_row[sel_mask], "row": np.nonzero(sel_mask)[0]}
-    )
-    n_k = np.maximum(1, (n * counts / len(codes)).astype(np.int64))
-    rank = df.groupby("code")["u_row"].rank(method="first").to_numpy()
-    keep = rank <= n_k[df["code"].to_numpy()]
-    return side.take(df["row"].to_numpy()[keep])
+    ``key_order(N_k, h_u(h(k)))``, ties by the key's first position;
+    level 2 keeps, of each kept key, the ``max(1, floor(n N_k / N))``
+    rows with the smallest ``h_u(h(<k, j>))``."""
+    key_of, _ = pd.factorize(side.first, sort=True)  # keys by first position
+    rep = np.empty(key_of.max(initial=-1) + 1, dtype=np.int64)
+    rep[key_of] = np.arange(len(key_of))
+    chosen = np.zeros(len(rep), dtype=bool)
+    chosen[key_order(side.n_k[rep], side.u_key[rep])[:n]] = True
+    rows = np.flatnonzero(chosen[key_of])
+    cap = np.maximum(1, (n * side.n_k[rows] / side.n_total).astype(np.int64))
+    rank = pd.Series(side.u_row[rows]).groupby(key_of[rows]).rank(method="first").to_numpy()
+    return side.take(rows[rank <= cap])
 
 
-def select_train(side: Side, n: int) -> Sketch:
+def select_train(side: Side, n: int) -> Side:
     return two_level(side, n, lambda counts, u_key: np.argsort(u_key, kind="stable"))
 
 
-def select_cand(side: Side, n: int, agg: str = "avg") -> Sketch:
+def select_cand(side: Side, n: int, agg: str = "avg") -> Side:
     """Aggregate per key, then KMV over the (now unique) keys."""
     return kmv(side.featurized(agg), n)

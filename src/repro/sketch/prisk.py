@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Side, Sketch
+from .base import Side
 from .base import aggregate_cand, occurrence_index  # noqa: F401  (perfbench patches them here)
 from .lv2sk import select_cand, two_level  # noqa: F401  (cand side: all weights 1, as LV2SK)
 
@@ -24,5 +24,5 @@ def _by_priority(counts: np.ndarray, u_key: np.ndarray) -> np.ndarray:
     return np.argsort(-priority, kind="stable")
 
 
-def select_train(side: Side, n: int) -> Sketch:
+def select_train(side: Side, n: int) -> Side:
     return two_level(side, n, _by_priority)

@@ -8,17 +8,15 @@ samples by ``h_u(h(<k, 1>))``, coordinating with the j = 1 train rows.
 """
 from __future__ import annotations
 
-from repro import hashing
-
-from .base import Side, Sketch
+from .base import Side
 from .base import aggregate_cand, occurrence_index  # noqa: F401  (perfbench patches them here)
 
 
-def select_train(side: Side, n: int) -> Sketch:
+def select_train(side: Side, n: int) -> Side:
     """Keep the n rows with the smallest ``h_u(h(<k, j>))``."""
-    return side.bottom(hashing.tuple_u01(side.kh, side.j), n)
+    return side.bottom(side.u_row, n)
 
 
-def select_cand(side: Side, n: int, agg: str = "avg") -> Sketch:
+def select_cand(side: Side, n: int, agg: str = "avg") -> Side:
     """Aggregate per key (so j = 1), then the train side's rule."""
     return select_train(side.featurized(agg), n)

@@ -140,7 +140,8 @@ class _MustNotCompute:
 
 def test_indsk_needs_no_occurrence_index_or_codes(monkeypatch, pair):
     monkeypatch.setattr(sketch_base.Side, "j", _MustNotCompute())
-    monkeypatch.setattr(sketch_base.Side, "codes", _MustNotCompute())
+    monkeypatch.setattr(sketch_base.Side, "n_k", _MustNotCompute())
+    monkeypatch.setattr(sketch_base.Side, "first", _MustNotCompute())
     s_train, s_cand = build_pair(
         "indsk", pair.train["key"].to_numpy(), pair.train["y"].to_numpy(),
         pair.cand["key"].to_numpy(), pair.cand["x"].to_numpy(), 64,

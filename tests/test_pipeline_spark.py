@@ -120,3 +120,67 @@ def test_tupsk_scales_to_sf01_lineitem(spark):
         assert 512 <= len(s2) <= 1024
     finally:
         li.unpersist()
+
+
+# ---------- hostile inputs: Spark == numpy byte for byte, dtypes included ----------
+
+_COLLIDING = [-1029051052717387374, -4600665373352889637]  # both h(k) = 938626867
+_NAN = float("nan")
+_NUMPY = {"long": "int64", "string": object, "double": "float64"}
+
+
+def _hostile_tables():
+    """(name, rows, Spark schema, n, cand AGGs): rows are (rid, key,
+    value) with rid the row position; the numpy side reads None as NaN,
+    as pandas does. Every table checks MODE; AGG decides the value type.
+    The key column is not named ``key``."""
+    rng = np.random.default_rng(40)
+    # The larger colliding key first, so that neither key order nor first
+    # appearance alone decides ties between them.
+    collide = _COLLIDING + rng.choice(_COLLIDING + list(range(40)), 298).tolist()
+    unicode = rng.choice(["ключ", "键", "🔑", "é", "é", "", " ", "None"], 200).tolist()
+    floats = rng.choice([0.0, -0.0, _NAN, None, 1.5, 2.0, -3.25], 200).tolist()
+    return {
+        "colliding": ([(i, k, int(v)) for i, (k, v) in enumerate(zip(collide, rng.integers(0, 5, 300)))],
+                      "rid long, k long, val long", 64, ("avg", "count", "mode", "first")),
+        "unicode": ([(i, k, float(v)) for i, (k, v) in enumerate(zip(unicode, rng.normal(size=200).round(1)))],
+                    "rid long, k string, val double", 16, ("mode", "first")),
+        "float_keys": ([(i, k, float(v)) for i, (k, v) in enumerate(zip(floats, rng.integers(0, 4, 200)))],
+                       "rid long, k double, val double", 3, ("avg", "mode")),
+        "n_ge_N": ([(i, i % 7, float(i % 3)) for i in range(40)], "rid long, k long, val double", 100,
+                   ("count", "mode")),
+        "empty": ([], "rid long, k long, val double", 8, ("avg", "count", "mode", "first")),
+    }
+
+
+@pytest.fixture(scope="module")
+def hostile(spark):
+    out = {}
+    for name, (rows, schema, n, aggs) in _hostile_tables().items():
+        df = spark.createDataFrame(rows, schema).cache()
+        types = dict(c.split() for c in schema.split(", "))
+        pdf = pd.DataFrame(rows, columns=list(types)).astype({c: _NUMPY[t] for c, t in types.items()})
+        out[name] = (df, pdf["k"].to_numpy(), pdf["val"].to_numpy(), n, aggs)
+    yield out
+    for df, *_ in out.values():
+        df.unpersist()
+
+
+def _assert_identical(got, want):
+    assert got.key_hash.dtype == want.key_hash.dtype == np.uint32
+    np.testing.assert_array_equal(got.key_hash, want.key_hash)
+    assert got.values.dtype == want.values.dtype
+    pd.testing.assert_series_equal(pd.Series(got.values), pd.Series(want.values))
+
+
+@pytest.mark.parametrize("table", ["colliding", "unicode", "float_keys", "n_ge_N", "empty"])
+@pytest.mark.parametrize("method", list(METHODS))
+def test_hostile_keys_spark_equals_numpy(hostile, table, method):
+    """32-bit hash collisions, unicode keys, -0.0/0.0/NaN/NULL float keys,
+    n >= N and an empty table, for the train side and the cand side."""
+    df, keys, vals, n, aggs = hostile[table]
+    got = pipeline.spark_train_sketch(df, n=n, method=method, key_col="k", val_col="val")
+    _assert_identical(got, METHODS[method][0](keys, vals, n))
+    for agg in aggs:
+        got = pipeline.spark_cand_sketch(df, n=n, method=method, agg=agg, key_col="k", val_col="val")
+        _assert_identical(got, METHODS[method][1](keys, vals, n, agg))
